@@ -77,9 +77,9 @@ let make ?weights ?semantics ?(core = false) ?cache ~source ~j candidates =
          index on the mixed-arity fallback), a fresh chase per tgd. The
          chase restarts its null labels per run, so the cached stats are
          position-independent and [Cache.tgd_stats] can re-index them for
-         this candidate list. The data digest is computed once and the
-         chase fixture lazily — a fully warm build touches neither the
-         chase nor the source data beyond this one rendering. *)
+         this candidate list. The data digest is computed once, the chase
+         fixture and the J index lazily — a fully warm build touches
+         neither the chase nor the data beyond this one rendering. *)
       let source_key, data_key = Cache.example_keys ~source ~j in
       let chase =
         lazy
@@ -95,13 +95,15 @@ let make ?weights ?semantics ?(core = false) ?cache ~source ~j candidates =
       let chase tgd =
         Cache.chase cache ~source_key tgd (fun () -> (Lazy.force chase) tgd)
       in
+      (* J is indexed once, on the first stats miss *)
+      let j_index = lazy (Cover.J_index.build j) in
       Array.of_list
         (List.mapi
            (fun index tgd ->
              Cache.tgd_stats cache ?semantics ~core ~data_key ~index tgd
                (fun () ->
-                 Cover.stats_of_result ?semantics ~core ~j ~index tgd
-                   (chase tgd)))
+                 Cover.stats_of_result ?semantics ~core
+                   ~j_index:(Lazy.force j_index) ~j ~index tgd (chase tgd)))
            candidates)
   in
   of_stats ?weights ~j stats

@@ -54,19 +54,53 @@ val error_count : tgd_stats -> int
 val covered_targets : tgd_stats -> Relational.Tuple.t list
 (** Target tuples with a strictly positive coverage degree. *)
 
+(** An index of a target instance [J]: per relation, its tuples in
+    canonical order and [(position, value)] posting lists of row ids. Built
+    once per analysis and shared by every probe: a probe of a pattern walks
+    the shortest posting list among its constants and already-bound nulls.
+    Building it costs one pass over [J] and a few words per value. *)
+module J_index : sig
+  type t
+
+  val build : Relational.Instance.t -> t
+
+  val matches : t -> Relational.Tuple.t -> Relational.Tuple.t list
+  (** [matches jx pattern]: the tuples of [J] that [pattern] maps onto
+      (see {!val-matches}), in canonical order. *)
+
+  val maps_into : t -> Relational.Tuple.t -> bool
+  (** [maps_into jx pattern]: some tuple of [J] matches [pattern]. *)
+end
+
 val stats_of_triggers :
   ?semantics : semantics ->
+  ?j_index : J_index.t ->
   j : Relational.Instance.t ->
   index : int ->
   Logic.Tgd.t ->
   Chase.Trigger.t list ->
   tgd_stats
 (** Statistics of one tgd from its chase triggers. The triggers must all
-    belong to the given tgd. *)
+    belong to the given tgd. [j_index] must index [j]; without it the index
+    is built for this call, so a caller scoring many tgds against one [J]
+    should build it once and pass it.
+
+    Cost: one indexed probe per group tuple for its error flag, and per
+    group tuple [k] a walk of [k]'s indexed options, each followed by a
+    search over only the siblings sharing one of [k]'s nulls (memoised on
+    the values those siblings can see). A tuple with no constant is probed
+    only under the bindings of a matched sibling, so an all-null chase
+    tuple no longer meets every tuple of its relation per trigger. *)
+
+val triggers_of_result : ?core : bool -> Chase.result -> Chase.Trigger.t list
+(** The trigger groups {!stats_of_result} scores: the result's triggers, or
+    with [~core:true] those tuples of them that survive into the core of
+    the chased target (a group left empty is dropped). *)
 
 val stats_of_result :
   ?semantics : semantics ->
   ?core : bool ->
+  ?j_index : J_index.t ->
   j : Relational.Instance.t ->
   index : int ->
   Logic.Tgd.t ->
@@ -77,7 +111,8 @@ val stats_of_result :
     ({!Chase.Core_solution}): trigger tuples retracted away by the core are
     dropped before coverage and errors are computed, so [produced] counts
     the cored [K_M]. The default ([false]) is {!stats_of_triggers} on the
-    result's triggers, bit-identical to the historical pipeline. *)
+    result's triggers, bit-identical to the historical pipeline. [j_index]
+    is as for {!stats_of_triggers}. *)
 
 val analyze :
   ?semantics : semantics ->
@@ -90,7 +125,8 @@ val analyze :
     for each; [analyze] is the precomputation step of the selection
     pipeline. The chase runs on the columnar kernel (bit-identical to the
     row-major chase; mixed-arity relations fall back to it), and
-    [~core:true] applies the {!stats_of_result} core stage per candidate. *)
+    [~core:true] applies the {!stats_of_result} core stage per candidate.
+    [J] is indexed once ({!J_index}) for all candidates. *)
 
 val explains : tgd_stats list -> Relational.Tuple.t -> Util.Frac.t
 (** [explains stats t] is the maximum coverage degree of [t] over the given

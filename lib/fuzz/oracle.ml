@@ -795,6 +795,198 @@ let check_algebra ctx =
             else Fail "composition is not associative up to equivalence"
           | _ -> Pass)
 
+(* --- cover-reference: the indexed Eq. 9 cover vs full enumeration -------- *)
+
+(* The Eq. 9 cover fold as first written, kept as the reference: every
+   consistent configuration of a trigger group — each tuple matched onto a
+   J tuple of its relation (scanned, no index) or left unmatched — is
+   enumerated, and each matched tuple's degree under that configuration is
+   folded into the per-target maximum. Exponential in the group, which is
+   why {!Cover} searches siblings over an index instead. *)
+
+let ref_match_with ~assignment ~(pattern : Tuple.t) (t : Tuple.t) =
+  if not (String.equal pattern.Tuple.rel t.Tuple.rel) then None
+  else if Array.length pattern.Tuple.values <> Array.length t.Tuple.values then None
+  else
+    let n = Array.length pattern.Tuple.values in
+    let rec loop i asg =
+      if i >= n then Some asg
+      else
+        match pattern.Tuple.values.(i) with
+        | Value.Const _ as c ->
+          if Value.equal c t.Tuple.values.(i) then loop (i + 1) asg else None
+        | Value.Null _ as nul -> (
+          match Value.Map.find_opt nul asg with
+          | Some bound ->
+            if Value.equal bound t.Tuple.values.(i) then loop (i + 1) asg else None
+          | None -> loop (i + 1) (Value.Map.add nul t.Tuple.values.(i) asg))
+    in
+    loop 0 assignment
+
+let ref_options ~j (pattern : Tuple.t) =
+  Tuple.Set.fold
+    (fun t acc ->
+      match ref_match_with ~assignment:Value.Map.empty ~pattern t with
+      | None -> acc
+      | Some asg -> (t, asg) :: acc)
+    (Instance.tuples_of j pattern.Tuple.rel)
+    []
+  |> List.rev
+
+let ref_merge a b =
+  Value.Map.fold
+    (fun k v acc ->
+      match acc with
+      | None -> None
+      | Some m -> (
+        match Value.Map.find_opt k m with
+        | None -> Some (Value.Map.add k v m)
+        | Some v' -> if Value.equal v v' then acc else None))
+    b (Some a)
+
+let ref_degree ~semantics ~group ~matched i =
+  let pattern = group.(i) in
+  let arity = Array.length pattern.Tuple.values in
+  let corroborated nul =
+    let contains_null (t : Tuple.t) = Array.exists (Value.equal nul) t.Tuple.values in
+    List.exists (fun k -> k <> i && contains_null group.(k)) matched
+  in
+  let counts v =
+    match semantics with
+    | Cover.Corroborated -> corroborated v
+    | Cover.Strict -> false
+    | Cover.Generous -> true
+  in
+  let covered =
+    Array.fold_left
+      (fun n v ->
+        match v with
+        | Value.Const _ -> n + 1
+        | Value.Null _ -> if counts v then n + 1 else n)
+      0 pattern.Tuple.values
+  in
+  Frac.make covered arity
+
+let ref_fold_group ~semantics ~j group acc =
+  let n = Array.length group in
+  let options = Array.map (ref_options ~j) group in
+  let best = ref [] in
+  let choices = Array.make n None in
+  let rec explore i assignment =
+    if i >= n then begin
+      let matched = List.filter (fun k -> choices.(k) <> None) (List.init n Fun.id) in
+      List.iter
+        (fun k ->
+          match choices.(k) with
+          | None -> ()
+          | Some t -> best := (t, ref_degree ~semantics ~group ~matched k) :: !best)
+        matched
+    end
+    else begin
+      choices.(i) <- None;
+      explore (i + 1) assignment;
+      List.iter
+        (fun (t, asg) ->
+          match ref_merge assignment asg with
+          | None -> ()
+          | Some merged ->
+            choices.(i) <- Some t;
+            explore (i + 1) merged;
+            choices.(i) <- None)
+        options.(i)
+    end
+  in
+  explore 0 Value.Map.empty;
+  List.fold_left
+    (fun acc (t, d) ->
+      if Frac.is_zero d then acc
+      else
+        Tuple.Map.update t
+          (function None -> Some d | Some d' -> Some (Frac.max d d'))
+          acc)
+    acc !best
+
+let reference_stats_of_triggers ?(semantics = Cover.Corroborated) ~j ~index tgd
+    triggers =
+  let covers, errors, produced =
+    List.fold_left
+      (fun (covers, errors, produced) (tr : Chase.Trigger.t) ->
+        let group = Array.of_list tr.Chase.Trigger.tuples in
+        let covers = ref_fold_group ~semantics ~j group covers in
+        let errors =
+          Array.fold_left
+            (fun errs pattern ->
+              if ref_options ~j pattern = [] then pattern :: errs else errs)
+            errors group
+        in
+        (covers, errors, produced + Array.length group))
+      (Tuple.Map.empty, [], 0) triggers
+  in
+  {
+    Cover.index;
+    tgd;
+    covers;
+    error_tuples = List.rev errors;
+    produced;
+    size = Tgd.size tgd;
+  }
+
+let stats_difference (a : Cover.tgd_stats) (b : Cover.tgd_stats) =
+  let tuples l = String.concat " " (List.map Tuple.to_string l) in
+  let covers s =
+    String.concat " "
+      (List.map
+         (fun (t, d) -> Tuple.to_string t ^ "=" ^ Frac.to_string d)
+         (Tuple.Map.bindings s.Cover.covers))
+  in
+  if a.Cover.index <> b.Cover.index then
+    Some (Printf.sprintf "index %d vs %d" a.Cover.index b.Cover.index)
+  else if not (Tgd.equal a.Cover.tgd b.Cover.tgd) then Some "tgd differs"
+  else if not (Tuple.Map.equal Frac.equal a.Cover.covers b.Cover.covers) then
+    Some (Printf.sprintf "covers {%s} vs {%s}" (covers a) (covers b))
+  else if not (List.equal Tuple.equal a.Cover.error_tuples b.Cover.error_tuples)
+  then
+    Some
+      (Printf.sprintf "error tuples [%s] vs [%s]" (tuples a.Cover.error_tuples)
+         (tuples b.Cover.error_tuples))
+  else if a.Cover.produced <> b.Cover.produced then
+    Some (Printf.sprintf "produced %d vs %d" a.Cover.produced b.Cover.produced)
+  else if a.Cover.size <> b.Cover.size then
+    Some (Printf.sprintf "size %d vs %d" a.Cover.size b.Cover.size)
+  else None
+
+let semantics_name = function
+  | Cover.Corroborated -> "corroborated"
+  | Cover.Strict -> "strict"
+  | Cover.Generous -> "generous"
+
+let check_cover_reference ctx =
+  match ctx.case.Case.payload with
+  | Case.Setcover _ | Case.Multihop _ -> Skip
+  | Case.Mapping m ->
+    let source = m.Case.source and j = m.Case.j in
+    let results = List.map (fun tgd -> Chase.run source [ tgd ]) m.Case.candidates in
+    let mismatch =
+      List.find_map
+        (fun (semantics, core) ->
+          let stats = Cover.analyze ~semantics ~core ~source ~j m.Case.candidates in
+          List.find_map
+            (fun (index, (tgd, result)) ->
+              let expected =
+                reference_stats_of_triggers ~semantics ~j ~index tgd
+                  (Cover.triggers_of_result ~core result)
+              in
+              Option.map
+                (Printf.sprintf "%s, core %b, candidate %d (%s): %s"
+                   (semantics_name semantics) core index tgd.Tgd.label)
+                (stats_difference stats.(index) expected))
+            (List.mapi (fun i x -> (i, x)) (List.combine m.Case.candidates results)))
+        (List.concat_map
+           (fun semantics -> [ (semantics, false); (semantics, true) ])
+           [ Cover.Corroborated; Cover.Strict; Cover.Generous ])
+    in
+    (match mismatch with None -> Pass | Some msg -> Fail msg)
+
 (* --- registry ----------------------------------------------------------- *)
 
 let all =
@@ -855,6 +1047,13 @@ let all =
         "implication/containment verdicts hold semantically; composed chase \
          sound vs hop-by-hop, exact on full intermediate hops";
       check = check_algebra;
+    };
+    {
+      name = "cover-reference";
+      doc =
+        "indexed Eq. 9 cover equals full configuration enumeration, all \
+         semantics, core off and on";
+      check = check_cover_reference;
     };
   ]
 

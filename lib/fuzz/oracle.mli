@@ -2,7 +2,7 @@
     appendix (and the engine's own contracts) pin down, as named checks over
     fuzz cases.
 
-    The ten families:
+    The twelve families:
 
     - [eq4-eq9] — on full-tgd scenarios the Eq. 4 bitset fast path
       ({!Core.Full}) and the general Eq. 9 evaluator agree on every probed
@@ -44,7 +44,15 @@
       {!Psl.Grounding.delta} mismatch makes Cmd fall back to the cold
       start); and a sequential {!Core.Portfolio} race is deterministic in
       [(problem, seed)] and never beaten by an individually-run roster
-      member.
+      member;
+    - [algebra] — implication and containment verdicts hold semantically,
+      and a composed mapping's chase is sound against the hop-by-hop chase
+      (exact when the intermediate hops are full);
+    - [cover-reference] — {!Cover.analyze}'s indexed Eq. 9 cover returns
+      exactly the statistics of the configuration-enumeration fold
+      ({!reference_stats_of_triggers}): covers, ordered error tuples and
+      [produced], per candidate, under all three semantics, with [core]
+      off and on.
 
     Checks are deterministic functions of the case: auxiliary randomness
     (probed selections, flip sequences, permutations) is derived from the
@@ -70,7 +78,7 @@ type t = {
 }
 
 val all : t list
-(** The ten families, in the order above. *)
+(** The twelve families, in the order above. *)
 
 val names : string list
 
@@ -82,6 +90,24 @@ val run : ?cache : Cache.t -> t -> Case.t -> verdict
 
 val is_failure : ?cache : Cache.t -> t -> Case.t -> bool
 (** The shrinking predicate: does the oracle fail (or raise) on this case? *)
+
+val reference_stats_of_triggers :
+  ?semantics : Cover.semantics ->
+  j : Relational.Instance.t ->
+  index : int ->
+  Logic.Tgd.t ->
+  Chase.Trigger.t list ->
+  Cover.tgd_stats
+(** The reference for {!Cover.stats_of_triggers}: the same statistics, by
+    enumerating every consistent configuration of each trigger group (each
+    tuple matched onto a scanned J tuple or left unmatched) and folding
+    each matched tuple's degree into the per-target maximum. Exponential in
+    the group size; for checking only. *)
+
+val stats_difference : Cover.tgd_stats -> Cover.tgd_stats -> string option
+(** [None] when the two statistics are equal field for field (covers,
+    error tuples in order, produced, size, index, tgd); otherwise the
+    first field that differs, with both values. *)
 
 val faults : (string * t) list
 (** Deliberately broken oracle variants, keyed by fault name, for exercising

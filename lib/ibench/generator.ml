@@ -286,6 +286,22 @@ let noise_correspondences rng (config : Config.t) pieces =
                  ~tgt:(tgt.Relation.name, tattr)))
     selected
 
+(* [tu] with its nulls renumbered 0, 1, ... in order of first occurrence:
+   equal for two tuples that differ only in the names of their nulls *)
+let canonical_nulls tu =
+  let names = Hashtbl.create 4 in
+  Tuple.map_values
+    (function
+      | Value.Const _ as c -> c
+      | Value.Null n -> (
+        match Hashtbl.find_opt names n with
+        | Some m -> Value.Null m
+        | None ->
+          let m = Hashtbl.length names in
+          Hashtbl.add names n m;
+          Value.Null m))
+    tu
+
 (* Ground a tuple by replacing its nulls with fresh constants. *)
 let ground_tuple counter tu =
   let mapping = Hashtbl.create 4 in
@@ -399,10 +415,23 @@ let generate (config : Config.t) =
   let spurious_tuples =
     List.concat_map (fun (tr : Chase.Trigger.t) -> tr.Chase.Trigger.tuples) spurious_triggers
   in
+  let j_clean_index = Cover.J_index.build j_clean in
   (* potential non-certain error tuples: tuples of J no spurious candidate
-     can produce *)
-  let producible_by_spurious t =
-    List.exists (fun pattern -> Cover.matches ~pattern t) spurious_tuples
+     can produce — those are the indexed options over J of the distinct
+     spurious tuples, up to a renaming of their nulls *)
+  let producible_by_spurious =
+    let producible = Hashtbl.create 1024 and seen = Hashtbl.create 1024 in
+    List.iter
+      (fun pattern ->
+        let key = canonical_nulls pattern in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.add seen key ();
+          List.iter
+            (fun t -> Hashtbl.replace producible t ())
+            (Cover.J_index.matches j_clean_index pattern)
+        end)
+      spurious_tuples;
+    Hashtbl.mem producible
   in
   let potential_errors =
     Instance.fold
@@ -414,13 +443,32 @@ let generate (config : Config.t) =
   (* potential non-certain unexplained tuples: spurious chase tuples that
      neither map into J already nor are producible by the ground truth (a
      tuple MG also generates would be a certain tuple, not an unexplained
-     one — note an all-null MG tuple maps onto anything of its relation) *)
-  let producible_by_mg t =
-    List.exists (fun pattern -> Cover.matches ~pattern t) mg_tuples
+     one — note an all-null MG tuple maps onto anything of its relation).
+     The MG tuples are bucketed by relation and first constant: one that
+     matches [t] sits in [t]'s relation with no constant, or has its first
+     constant equal to [t]'s value at that position. *)
+  let producible_by_mg =
+    let buckets = Hashtbl.create 256 in
+    List.iter
+      (fun (pattern : Tuple.t) ->
+        let first = Array.find_index Value.is_const pattern.Tuple.values in
+        let key =
+          (pattern.Tuple.rel, Option.map (fun i -> (i, pattern.Tuple.values.(i))) first)
+        in
+        Hashtbl.replace buckets key
+          (pattern :: Option.value ~default:[] (Hashtbl.find_opt buckets key)))
+      mg_tuples;
+    fun (t : Tuple.t) ->
+      let bucket key =
+        Option.value ~default:[] (Hashtbl.find_opt buckets (t.Tuple.rel, key))
+      in
+      let hit key = List.exists (fun pattern -> Cover.matches ~pattern t) (bucket key) in
+      hit None || Seq.exists (fun iv -> hit (Some iv)) (Array.to_seqi t.Tuple.values)
   in
   let potential_unexplained =
     List.filter
-      (fun t -> not (Cover.maps_into t j_clean) && not (producible_by_mg t))
+      (fun t ->
+        (not (Cover.J_index.maps_into j_clean_index t)) && not (producible_by_mg t))
       spurious_tuples
   in
   let additions =

@@ -247,10 +247,10 @@ let property_tests =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
-(* Regression pin for the interned homomorphism search: the E1 problem's
-   digest covers every stat field (covers map, error tuples, produced,
-   size, cost) of both candidates, so any drift in [stats_of_triggers] —
-   like the interned-J hoist reordering a fold — fails here byte-for-byte. *)
+(* Regression pin for the homomorphism search: the E1 problem's digest
+   covers every stat field (covers map, error tuples, produced, size,
+   cost) of both candidates, so any drift in [stats_of_triggers] fails
+   here byte-for-byte. *)
 let regression_tests =
   [
     Alcotest.test_case "E1 stats digest is stable" `Quick (fun () ->
@@ -282,6 +282,161 @@ let regression_tests =
           plain);
   ]
 
+(* --- the indexed cover against the configuration-enumeration reference --- *)
+
+let semantics_all = [ Cover.Corroborated; Cover.Strict; Cover.Generous ]
+
+let same_as_reference ~semantics ~j triggers =
+  let tgd = Fixtures.theta1 in
+  let got = Cover.stats_of_triggers ~semantics ~j ~index:0 tgd triggers in
+  let expected = Fuzz.Oracle.reference_stats_of_triggers ~semantics ~j ~index:0 tgd triggers in
+  Fuzz.Oracle.stats_difference got expected
+
+(* Trigger groups over r/2, s/3 and q/1 (plus [absent]/2, which J never
+   holds), biased toward the shapes the indexed search treats specially:
+   all-null tuples, a null repeated within a tuple, three tuples chained
+   by shared nulls, two siblings sharing a null the third tuple lacks; and
+   a J over a three-constant domain that also holds nulls and tuples of
+   the wrong arity. *)
+let differential_gen =
+  let open QCheck2.Gen in
+  let const = map (fun i -> Value.Const (Printf.sprintf "c%d" i)) (int_range 0 2) in
+  let arity = function "r" -> 2 | "s" -> 3 | "q" -> 1 | _ -> 2 in
+  let rel = oneofl [ "r"; "s"; "q"; "absent" ] in
+  let j_value = frequency [ (4, const); (1, map (fun i -> Value.Null (100 + i)) (int_range 0 1)) ] in
+  let j_tuple =
+    let* rel = oneofl [ "r"; "s"; "q" ] in
+    let* wrong = frequency [ (6, return 0); (1, return 1); (1, return (-1)) ] in
+    let* values = list_repeat (max 0 (arity rel + wrong)) j_value in
+    return (Tuple.make rel values)
+  in
+  let null = map (fun i -> Value.Null i) (int_range 0 3) in
+  let pattern =
+    let* rel = rel in
+    let* shape = oneofl [ `All_null; `Repeated; `Mixed ] in
+    let* values =
+      match shape with
+      | `All_null -> list_repeat (arity rel) null
+      | `Mixed -> list_repeat (arity rel) (frequency [ (2, null); (1, const) ])
+      | `Repeated ->
+        let* n = null in
+        list_repeat (arity rel) (frequency [ (2, return n); (1, null); (1, const) ])
+    in
+    return (Tuple.make rel values)
+  in
+  let chain =
+    (* r(N0, N1), s(N1, x, N2), r(N2, N3): each link a shared null *)
+    let* x = oneof [ const; return (Value.Null 4) ] in
+    return
+      [
+        Tuple.make "r" [ Value.Null 0; Value.Null 1 ];
+        Tuple.make "s" [ Value.Null 1; x; Value.Null 2 ];
+        Tuple.make "r" [ Value.Null 2; Value.Null 3 ];
+      ]
+  in
+  let triangle =
+    (* s(x, N0, N1), r(N0, N2), r(N1, N2): the two siblings of the first
+       tuple also share a null it does not carry *)
+    let* x = oneof [ const; return (Value.Null 3) ] in
+    return
+      [
+        Tuple.make "s" [ x; Value.Null 0; Value.Null 1 ];
+        Tuple.make "r" [ Value.Null 0; Value.Null 2 ];
+        Tuple.make "r" [ Value.Null 1; Value.Null 2 ];
+      ]
+  in
+  let group =
+    frequency [ (4, list_size (int_range 1 3) pattern); (1, chain); (1, triangle) ]
+  in
+  let trigger tuples =
+    {
+      Chase.Trigger.tgd_index = 0;
+      tgd = Fixtures.theta1;
+      subst = Logic.Subst.empty;
+      tuples;
+      nulls = List.fold_left (fun acc t -> Value.Set.union acc (Tuple.nulls t)) Value.Set.empty tuples;
+    }
+  in
+  pair
+    (map Instance.of_tuples (list_size (int_range 0 14) j_tuple))
+    (list_size (int_range 1 4) (map trigger group))
+
+let print_case (j, triggers) =
+  Printf.sprintf "J = {%s}\ngroups = %s"
+    (String.concat ", " (List.map Tuple.to_string (Instance.tuples j)))
+    (String.concat " | "
+       (List.map
+          (fun (tr : Chase.Trigger.t) ->
+            String.concat ", " (List.map Tuple.to_string tr.Chase.Trigger.tuples))
+          triggers))
+
+let reference_tests =
+  let differential =
+    QCheck2.Test.make ~name:"indexed cover equals the enumeration reference" ~count:500
+      ~print:print_case differential_gen (fun (j, triggers) ->
+        List.for_all
+          (fun semantics ->
+            match same_as_reference ~semantics ~j triggers with
+            | None -> true
+            | Some msg -> QCheck2.Test.fail_report msg)
+          semantics_all)
+  in
+  [
+    QCheck_alcotest.to_alcotest differential;
+    Alcotest.test_case "rows-64 iBench example equals the reference" `Quick (fun () ->
+        let s =
+          Ibench.Generator.generate
+            {
+              Ibench.Config.default with
+              Ibench.Config.seed = 11;
+              rows_per_relation = 64;
+              pi_corresp = 50;
+              pi_errors = 30;
+              pi_unexplained = 30;
+            }
+        in
+        let source = s.Ibench.Scenario.instance_i and j = s.Ibench.Scenario.instance_j in
+        let results = List.map (fun tgd -> Chase.run source [ tgd ]) s.Ibench.Scenario.candidates in
+        List.iter
+          (fun (semantics, core) ->
+            let stats = Cover.analyze ~semantics ~core ~source ~j s.Ibench.Scenario.candidates in
+            List.iteri
+              (fun index (tgd, result) ->
+                let expected =
+                  Fuzz.Oracle.reference_stats_of_triggers ~semantics ~j ~index tgd
+                    (Cover.triggers_of_result ~core result)
+                in
+                match Fuzz.Oracle.stats_difference stats.(index) expected with
+                | None -> ()
+                | Some msg -> Alcotest.failf "core %b, candidate %d: %s" core index msg)
+              (List.combine s.Ibench.Scenario.candidates results))
+          (List.concat_map (fun sem -> [ (sem, false); (sem, true) ]) semantics_all));
+  ]
+
+(* Problem digests of two iBench examples, recorded before the cover fold
+   was rebuilt on the J index: the rebuild must leave them byte-identical. *)
+let ibench_pin_tests =
+  let pin seed digest =
+    Alcotest.test_case (Printf.sprintf "iBench rows 128 seed %d digest" seed) `Quick (fun () ->
+        let s =
+          Ibench.Generator.generate
+            {
+              Ibench.Config.default with
+              Ibench.Config.seed;
+              rows_per_relation = 128;
+              pi_corresp = 50;
+              pi_errors = 30;
+              pi_unexplained = 30;
+            }
+        in
+        let p =
+          Core.Problem.make ~source:s.Ibench.Scenario.instance_i ~j:s.Ibench.Scenario.instance_j
+            s.Ibench.Scenario.candidates
+        in
+        Alcotest.(check string) "digest" digest (Core.Problem.digest p))
+  in
+  [ pin 3 "a261b9bcf5ea39e0d65a0c62e2402c3f"; pin 17 "ef5d0c87a7c8dead6bcc5df916079356" ]
+
 let () =
   Alcotest.run "cover"
     [
@@ -289,5 +444,6 @@ let () =
       ("matching", matching_tests);
       ("partial-groups", partial_group_tests);
       ("properties", property_tests);
-      ("regression", regression_tests);
+      ("regression", regression_tests @ ibench_pin_tests);
+      ("reference", reference_tests);
     ]

@@ -162,6 +162,43 @@ let noise_tests =
           added);
   ]
 
+(* The digest of one generated, serialized document (noise on, so the
+   noise step's homomorphism probes decide which tuples move), recorded
+   before that step was rebuilt on the J index: generator output must stay
+   byte-identical. *)
+let document_pin_tests =
+  [
+    Alcotest.test_case "serialized document digest is stable" `Quick (fun () ->
+        let s =
+          gen
+            ~config:
+              {
+                default with
+                Config.seed = 5;
+                rows_per_relation = 64;
+                pi_corresp = 50;
+                pi_errors = 40;
+                pi_unexplained = 40;
+              }
+            ()
+        in
+        let doc =
+          {
+            Serialize.Document.source = s.Scenario.source;
+            target = s.Scenario.target;
+            src_fkeys = s.Scenario.src_fkeys;
+            tgt_fkeys = s.Scenario.tgt_fkeys;
+            correspondences = s.Scenario.correspondences;
+            tgds = s.Scenario.candidates;
+            instance_i = s.Scenario.instance_i;
+            instance_j = s.Scenario.instance_j;
+          }
+        in
+        Alcotest.(check string)
+          "digest" "cd8953f328f8cd55f035678e48f9ffd7"
+          (Digest.to_hex (Digest.string (Serialize.Document.to_string doc))));
+  ]
+
 let select_pct_tests =
   let rng () = Random.State.make [| 1 |] in
   [
@@ -236,7 +273,7 @@ let () =
       ("structure", structure_tests);
       ("per-primitive", per_primitive_tests);
       ("determinism", determinism_tests);
-      ("noise", noise_tests);
+      ("noise", noise_tests @ document_pin_tests);
       ("select-pct", select_pct_tests);
       ("config", config_tests);
       ("properties", property_tests);
