@@ -7,19 +7,42 @@ module Key = struct
   (* Percent-encode everything outside [A-Za-z0-9_.~-] so renderings can be
      joined with spaces/commas and split back unambiguously (the disk format
      reuses this). *)
-  let enc s =
-    let plain = function
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '~' | '-' -> true
-      | _ -> false
-    in
-    if String.for_all plain s then s
-    else begin
-      let buf = Buffer.create (String.length s + 8) in
+  let plain_table =
+    String.init 256 (fun i ->
+        match Char.chr i with
+        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '~' | '-' -> '\001'
+        | _ -> '\000')
+
+  let plain c = String.unsafe_get plain_table (Char.code c) = '\001'
+
+  let all_plain s =
+    let n = String.length s in
+    let i = ref 0 in
+    while !i < n && plain (String.unsafe_get s !i) do
+      incr i
+    done;
+    !i = n
+
+  let hex_digit = "0123456789ABCDEF"
+
+  let add_enc buf s =
+    if all_plain s then Buffer.add_string buf s
+    else
       String.iter
         (fun c ->
           if plain c then Buffer.add_char buf c
-          else Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
-        s;
+          else begin
+            Buffer.add_char buf '%';
+            Buffer.add_char buf hex_digit.[Char.code c lsr 4];
+            Buffer.add_char buf hex_digit.[Char.code c land 15]
+          end)
+        s
+
+  let enc s =
+    if all_plain s then s
+    else begin
+      let buf = Buffer.create (String.length s + 8) in
+      add_enc buf s;
       Buffer.contents buf
     end
 
@@ -48,30 +71,114 @@ module Key = struct
     in
     go 0
 
+  (* [string_of_int] goes through the C formatter, which dominates the
+     rendering of short numbers *)
+  let rec add_digits buf n =
+    if n >= 10 then add_digits buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+  let add_int buf n =
+    if n >= 0 then add_digits buf n else Buffer.add_string buf (string_of_int n)
+
+  (* The digested text is each part as [<length>:<text>], in order. A part
+     is rendered into [part] and copied behind its length into [all], so no
+     part exists as a separate string. Each domain keeps one [parts] and
+     reuses its storage from digest to digest: a problem digest runs to
+     hundreds of kilobytes, and fresh buffers that size are major-heap
+     allocations on every call. *)
+  type parts = {
+    mutable all : Bytes.t;
+    mutable len : int;
+    part : Buffer.t;
+    mutable busy : bool;
+  }
+
+  let fresh_parts () =
+    { all = Bytes.create 4096; len = 0; part = Buffer.create 256; busy = false }
+
+  let scratch = Domain.DLS.new_key fresh_parts
+
+  let add_part p render =
+    Buffer.clear p.part;
+    render p.part;
+    let n = Buffer.length p.part in
+    let digits = ref 1 and m = ref n in
+    while !m >= 10 do
+      incr digits;
+      m := !m / 10
+    done;
+    let need = p.len + !digits + 1 + n in
+    if need > Bytes.length p.all then begin
+      let all = Bytes.create (max need (2 * Bytes.length p.all)) in
+      Bytes.blit p.all 0 all 0 p.len;
+      p.all <- all
+    end;
+    let m = ref n in
+    for k = p.len + !digits - 1 downto p.len do
+      Bytes.unsafe_set p.all k (Char.unsafe_chr (48 + (!m mod 10)));
+      m := !m / 10
+    done;
+    Bytes.unsafe_set p.all (p.len + !digits) ':';
+    Buffer.blit p.part 0 p.all (p.len + !digits + 1) n;
+    p.len <- need
+
+  (* a digest rendered while another is under way (from inside a [render])
+     gets storage of its own *)
+  let digest_with f =
+    let shared = Domain.DLS.get scratch in
+    let p = if shared.busy then fresh_parts () else shared in
+    p.busy <- true;
+    p.len <- 0;
+    Fun.protect
+      ~finally:(fun () -> p.busy <- false)
+      (fun () ->
+        f p;
+        Digest.to_hex (Digest.subbytes p.all 0 p.len))
+
   let digest parts =
-    let buf = Buffer.create 256 in
-    List.iter
-      (fun p ->
-        Buffer.add_string buf (string_of_int (String.length p));
-        Buffer.add_char buf ':';
-        Buffer.add_string buf p)
-      parts;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
+    digest_with (fun p ->
+        List.iter (fun s -> add_part p (fun buf -> Buffer.add_string buf s)) parts)
 
-  let value = function
-    | Value.Const s -> "C" ^ enc s
-    | Value.Null n -> "N" ^ string_of_int n
+  let add_value buf = function
+    | Value.Const s ->
+      Buffer.add_char buf 'C';
+      add_enc buf s
+    | Value.Null n ->
+      Buffer.add_char buf 'N';
+      add_int buf n
 
-  let tuple (t : Tuple.t) =
-    let fields = Array.to_list t.Tuple.values |> List.map value in
-    String.concat " " (("R" ^ enc t.Tuple.rel) :: fields)
+  let add_tuple buf (t : Tuple.t) =
+    Buffer.add_char buf 'R';
+    add_enc buf t.Tuple.rel;
+    let values = t.Tuple.values in
+    for k = 0 to Array.length values - 1 do
+      Buffer.add_char buf ' ';
+      add_value buf (Array.unsafe_get values k)
+    done
+
+  let tuple t =
+    let buf = Buffer.create 64 in
+    add_tuple buf t;
+    Buffer.contents buf
+
+  let add_instance buf inst =
+    List.iteri
+      (fun i t ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_tuple buf t)
+      (Instance.tuples inst)
 
   let instance inst =
-    Instance.tuples inst |> List.map tuple |> String.concat ","
+    let buf = Buffer.create 4096 in
+    add_instance buf inst;
+    Buffer.contents buf
 
   let tgd t = enc (Logic.Tgd.to_string t)
 
-  let frac f = Printf.sprintf "%d/%d" (Frac.num f) (Frac.den f)
+  let add_frac buf f =
+    add_int buf (Frac.num f);
+    Buffer.add_char buf '/';
+    add_int buf (Frac.den f)
 
   let semantics = function
     | Cover.Corroborated -> "corroborated"
@@ -444,7 +551,10 @@ let sync t =
 (* Rendering both instances is linear in the data; digesting them once per
    (source, j) pair keeps the per-candidate key derivation O(|tgd|). *)
 let data_key ~source ~j =
-  Key.digest [ "data"; Key.instance source; Key.instance j ]
+  Key.digest_with (fun p ->
+      Key.add_part p (fun buf -> Buffer.add_string buf "data");
+      Key.add_part p (fun buf -> Key.add_instance buf source);
+      Key.add_part p (fun buf -> Key.add_instance buf j))
 
 let source_key ~source = Key.digest [ "src"; Key.instance source ]
 
@@ -452,7 +562,11 @@ let source_key ~source = Key.digest [ "src"; Key.instance source ]
    halves the dominant cost of a fully warm build. *)
 let example_keys ~source ~j =
   let src = Key.instance source in
-  (Key.digest [ "src"; src ], Key.digest [ "data"; src; Key.instance j ])
+  ( Key.digest [ "src"; src ],
+    Key.digest_with (fun p ->
+        Key.add_part p (fun buf -> Buffer.add_string buf "data");
+        Key.add_part p (fun buf -> Buffer.add_string buf src);
+        Key.add_part p (fun buf -> Key.add_instance buf j)) )
 
 (* The chase depends on (source, tgd) only — not on the target instance —
    so a sweep over noise levels that perturb only [J] reuses every chase

@@ -81,7 +81,18 @@ module Key : sig
   (** Hex digest of a part list; parts are length-prefixed, so the digest
       is injective in the list (no concatenation ambiguity). *)
 
-  val value : Relational.Value.t -> string
+  type parts
+  (** A part list under construction, for digesting large renderings
+      without building each part as a string first. *)
+
+  val digest_with : (parts -> unit) -> string
+  (** [digest_with f] is the {!digest} of the parts [f] adds, in order —
+      byte for byte the digest of the same texts passed as a list. The
+      [parts] value is only valid during [f]. *)
+
+  val add_part : parts -> (Buffer.t -> unit) -> unit
+  (** [add_part p render] appends one part: the text [render] writes into
+      the (empty) buffer it is given. *)
 
   val tuple : Relational.Tuple.t -> string
 
@@ -93,7 +104,17 @@ module Key : sig
       names determine the chase's null labels, so alpha-variants must not
       share a key. *)
 
-  val frac : Util.Frac.t -> string
+  val add_tuple : Buffer.t -> Relational.Tuple.t -> unit
+  (** Appends [tuple]'s text; likewise [add_instance] appends
+      [instance]'s. *)
+
+  val add_instance : Buffer.t -> Relational.Instance.t -> unit
+
+  val add_frac : Buffer.t -> Util.Frac.t -> unit
+  (** Appends [<num>/<den>]. *)
+
+  val add_int : Buffer.t -> int -> unit
+  (** Appends [string_of_int n]. *)
 
   val semantics : Cover.semantics -> string
 end

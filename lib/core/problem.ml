@@ -108,36 +108,51 @@ let make ?weights ?semantics ?(core = false) ?cache ~source ~j candidates =
   in
   of_stats ?weights ~j stats
 
+(* The digested text renders every coverage entry's tuple, and those are
+   J tuples, most of them covered by several candidates: each J tuple is
+   rendered once and its text reused. [t.covers.(i)] keeps, in map order,
+   the entries of [stats.(i).covers] whose tuple is in J, so when its length
+   is the map's cardinal it lists exactly the map's entries. *)
 let digest t =
-  let stat_part (s : Cover.tgd_stats) =
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf (Cache.Key.tgd s.Cover.tgd);
-    Buffer.add_string buf "|cost ";
-    Buffer.add_string buf (Cache.Key.frac t.cand_cost.(s.Cover.index));
-    Tuple.Map.iter
-      (fun tu d ->
-        Buffer.add_string buf "|cover ";
-        Buffer.add_string buf (Cache.Key.tuple tu);
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (Cache.Key.frac d))
-      s.Cover.covers;
-    List.iter
-      (fun tu ->
-        Buffer.add_string buf "|error ";
-        Buffer.add_string buf (Cache.Key.tuple tu))
-      s.Cover.error_tuples;
-    Buffer.add_string buf
-      (Printf.sprintf "|produced %d|size %d" s.Cover.produced s.Cover.size);
-    Buffer.contents buf
-  in
-  Cache.Key.digest
-    ([
-       "problem";
-       Printf.sprintf "w %d %d %d" t.weights.w_unexplained t.weights.w_errors
-         t.weights.w_size;
-     ]
-    @ List.map Cache.Key.tuple (Array.to_list t.tuples)
-    @ List.map stat_part (Array.to_list t.stats))
+  let rendered = Array.map Cache.Key.tuple t.tuples in
+  Cache.Key.digest_with @@ fun p ->
+  let add_string s = Cache.Key.add_part p (fun buf -> Buffer.add_string buf s) in
+  add_string "problem";
+  add_string
+    (Printf.sprintf "w %d %d %d" t.weights.w_unexplained t.weights.w_errors
+       t.weights.w_size);
+  Array.iter add_string rendered;
+  Array.iteri
+    (fun i (s : Cover.tgd_stats) ->
+      Cache.Key.add_part p (fun buf ->
+          let add_cover tuple d =
+            Buffer.add_string buf "|cover ";
+            tuple buf;
+            Buffer.add_char buf ' ';
+            Cache.Key.add_frac buf d
+          in
+          Buffer.add_string buf (Cache.Key.tgd s.Cover.tgd);
+          Buffer.add_string buf "|cost ";
+          Cache.Key.add_frac buf t.cand_cost.(s.Cover.index);
+          if Array.length t.covers.(i) = Tuple.Map.cardinal s.Cover.covers then
+            Array.iter
+              (fun (k, d) ->
+                add_cover (fun buf -> Buffer.add_string buf rendered.(k)) d)
+              t.covers.(i)
+          else
+            Tuple.Map.iter
+              (fun tu d -> add_cover (fun buf -> Cache.Key.add_tuple buf tu) d)
+              s.Cover.covers;
+          List.iter
+            (fun tu ->
+              Buffer.add_string buf "|error ";
+              Cache.Key.add_tuple buf tu)
+            s.Cover.error_tuples;
+          Buffer.add_string buf "|produced ";
+          Cache.Key.add_int buf s.Cover.produced;
+          Buffer.add_string buf "|size ";
+          Cache.Key.add_int buf s.Cover.size))
+    t.stats
 
 let num_candidates t = Array.length t.candidates
 

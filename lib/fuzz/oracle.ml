@@ -987,6 +987,240 @@ let check_cover_reference ctx =
     in
     (match mismatch with None -> Pass | Some msg -> Fail msg)
 
+(* --- admm-reference: the flat ADMM loop vs the per-factor solver -------- *)
+
+(* Consensus ADMM as first written, kept as the reference for
+   {!Psl.Admm.solve}: a list of per-factor records, each with its own local
+   copy and dual, walked through closures. Every floating-point operation
+   happens in the same order as in the flat solver, so the two outcomes
+   must agree bit for bit. *)
+
+type ref_step =
+  | Ref_linear of { weight : float }
+  | Ref_hinge of { weight : float; squared : bool }
+  | Ref_leq
+  | Ref_eq
+
+type ref_factor = {
+  step : ref_step;
+  vars : int array;
+  coeffs : float array;
+  constant : float;
+  norm2 : float;
+  x : float array;
+  y : float array;
+}
+
+let ref_factor_of_expr step expr =
+  let pairs = expr.Psl.Linexpr.coeffs in
+  let n = List.length pairs in
+  let vars = Array.make n 0 and coeffs = Array.make n 0. in
+  List.iteri
+    (fun k (i, c) ->
+      vars.(k) <- i;
+      coeffs.(k) <- c)
+    pairs;
+  {
+    step;
+    vars;
+    coeffs;
+    constant = expr.Psl.Linexpr.constant;
+    norm2 = Psl.Linexpr.norm2 expr;
+    x = Array.make n 0.;
+    y = Array.make n 0.;
+  }
+
+let ref_factors_of_model model =
+  let of_potential = function
+    | Psl.Hlmrf.Hinge { weight; expr; squared } ->
+      if expr.Psl.Linexpr.coeffs = [] || weight = 0. then None
+      else Some (ref_factor_of_expr (Ref_hinge { weight; squared }) expr)
+    | Psl.Hlmrf.Linear { weight; expr } ->
+      if expr.Psl.Linexpr.coeffs = [] || weight = 0. then None
+      else Some (ref_factor_of_expr (Ref_linear { weight }) expr)
+  in
+  let of_constraint = function
+    | Psl.Hlmrf.Leq e ->
+      if e.Psl.Linexpr.coeffs = [] then None else Some (ref_factor_of_expr Ref_leq e)
+    | Psl.Hlmrf.Eq e ->
+      if e.Psl.Linexpr.coeffs = [] then None else Some (ref_factor_of_expr Ref_eq e)
+  in
+  List.filter_map of_potential (Psl.Hlmrf.potentials model)
+  @ List.filter_map of_constraint (Psl.Hlmrf.constraints model)
+
+let ref_dot f v =
+  let acc = ref f.constant in
+  Array.iteri (fun k c -> acc := !acc +. (c *. v.(k))) f.coeffs;
+  !acc
+
+let ref_axpy f v t = Array.iteri (fun k c -> f.x.(k) <- v.(k) +. (t *. c)) f.coeffs
+
+let ref_project_hyperplane f v =
+  if f.norm2 = 0. then Array.blit v 0 f.x 0 (Array.length v)
+  else ref_axpy f v (-.ref_dot f v /. f.norm2)
+
+let ref_local_solve ~rho f v =
+  match f.step with
+  | Ref_linear { weight } -> ref_axpy f v (-.weight /. rho)
+  | Ref_hinge { weight; squared = false } ->
+    if ref_dot f v <= 0. then Array.blit v 0 f.x 0 (Array.length v)
+    else begin
+      ref_axpy f v (-.weight /. rho);
+      if ref_dot f f.x < 0. then ref_project_hyperplane f v
+    end
+  | Ref_hinge { weight; squared = true } ->
+    let margin = ref_dot f v in
+    if margin <= 0. then Array.blit v 0 f.x 0 (Array.length v)
+    else ref_axpy f v (-.(2. *. weight *. margin) /. (rho +. (2. *. weight *. f.norm2)))
+  | Ref_leq ->
+    if ref_dot f v <= 0. then Array.blit v 0 f.x 0 (Array.length v)
+    else ref_project_hyperplane f v
+  | Ref_eq -> ref_project_hyperplane f v
+
+let reference_admm ?(options = Psl.Admm.default_options) ?warm model =
+  let n = Psl.Hlmrf.num_vars model in
+  let factors = ref_factors_of_model model in
+  let z = Array.make n 0. in
+  (match warm with
+  | None -> ()
+  | Some w ->
+    if Array.length w.Psl.Admm.consensus = n then Array.blit w.Psl.Admm.consensus 0 z 0 n;
+    let num_factors = List.length factors in
+    if Array.length w.Psl.Admm.duals = num_factors then
+      List.iteri
+        (fun idx f ->
+          let src = w.Psl.Admm.duals.(idx) in
+          let d = Array.length f.y in
+          if Array.length src = d then Array.blit src 0 f.y 0 d)
+        factors);
+  let counts = Array.make n 0 in
+  List.iter (fun f -> Array.iter (fun i -> counts.(i) <- counts.(i) + 1) f.vars) factors;
+  let rho = options.Psl.Admm.rho in
+  let total_copies = List.fold_left (fun acc f -> acc + Array.length f.vars) 0 factors in
+  let v_buf =
+    Array.make (List.fold_left (fun m f -> max m (Array.length f.vars)) 1 factors) 0.
+  in
+  let sums = Array.make n 0. in
+  let iterations = ref 0 in
+  let converged = ref false in
+  (try
+     for iter = 1 to options.Psl.Admm.max_iter do
+       iterations := iter;
+       List.iter
+         (fun f ->
+           let d = Array.length f.vars in
+           for k = 0 to d - 1 do
+             v_buf.(k) <- z.(f.vars.(k)) -. (f.y.(k) /. rho)
+           done;
+           ref_local_solve ~rho f (Array.sub v_buf 0 d))
+         factors;
+       Array.fill sums 0 n 0.;
+       List.iter
+         (fun f ->
+           Array.iteri
+             (fun k i -> sums.(i) <- sums.(i) +. f.x.(k) +. (f.y.(k) /. rho))
+             f.vars)
+         factors;
+       let dual_sq = ref 0. in
+       for i = 0 to n - 1 do
+         if counts.(i) > 0 then begin
+           let znew = Float.max 0. (Float.min 1. (sums.(i) /. float_of_int counts.(i))) in
+           let dz = znew -. z.(i) in
+           dual_sq := !dual_sq +. (float_of_int counts.(i) *. dz *. dz);
+           z.(i) <- znew
+         end
+       done;
+       let primal_sq = ref 0. in
+       let x_sq = ref 0. and z_sq = ref 0. and y_sq = ref 0. in
+       List.iter
+         (fun f ->
+           Array.iteri
+             (fun k i ->
+               let r = f.x.(k) -. z.(i) in
+               f.y.(k) <- f.y.(k) +. (rho *. r);
+               primal_sq := !primal_sq +. (r *. r);
+               x_sq := !x_sq +. (f.x.(k) *. f.x.(k));
+               z_sq := !z_sq +. (z.(i) *. z.(i));
+               y_sq := !y_sq +. (f.y.(k) *. f.y.(k)))
+             f.vars)
+         factors;
+       let sqn = sqrt (float_of_int (max 1 total_copies)) in
+       let eps_pri =
+         (sqn *. options.Psl.Admm.eps_abs)
+         +. (options.Psl.Admm.eps_rel *. Float.max (sqrt !x_sq) (sqrt !z_sq))
+       in
+       let eps_dual =
+         (sqn *. options.Psl.Admm.eps_abs) +. (options.Psl.Admm.eps_rel *. sqrt !y_sq)
+       in
+       if sqrt !primal_sq <= eps_pri && rho *. sqrt !dual_sq <= eps_dual then begin
+         converged := true;
+         raise Exit
+       end
+     done
+   with Exit -> ());
+  let state =
+    {
+      Psl.Admm.consensus = Array.copy z;
+      duals = Array.of_list (List.map (fun f -> Array.copy f.y) factors);
+    }
+  in
+  {
+    Psl.Admm.solution = z;
+    iterations = !iterations;
+    converged = !converged;
+    energy = Psl.Hlmrf.energy model z;
+    state;
+  }
+
+let outcome_difference (a : Psl.Admm.outcome) (b : Psl.Admm.outcome) =
+  let bits = Int64.bits_of_float in
+  let rows (o : Psl.Admm.outcome) =
+    ("solution", o.Psl.Admm.solution)
+    :: ("consensus", o.Psl.Admm.state.Psl.Admm.consensus)
+    :: List.mapi
+         (fun f row -> (Printf.sprintf "dual row %d" f, row))
+         (Array.to_list o.Psl.Admm.state.Psl.Admm.duals)
+  in
+  let row_difference ((what, ra), (_, rb)) =
+    if Array.length ra <> Array.length rb then
+      Some (Printf.sprintf "%s: length %d vs %d" what (Array.length ra) (Array.length rb))
+    else
+      Seq.find_map
+        (fun k ->
+          if bits ra.(k) = bits rb.(k) then None
+          else Some (Printf.sprintf "%s[%d]: %h vs %h" what k ra.(k) rb.(k)))
+        (Seq.init (Array.length ra) Fun.id)
+  in
+  let ra = rows a and rb = rows b in
+  if a.Psl.Admm.iterations <> b.Psl.Admm.iterations then
+    Some (Printf.sprintf "iterations %d vs %d" a.Psl.Admm.iterations b.Psl.Admm.iterations)
+  else if a.Psl.Admm.converged <> b.Psl.Admm.converged then
+    Some (Printf.sprintf "converged %b vs %b" a.Psl.Admm.converged b.Psl.Admm.converged)
+  else if bits a.Psl.Admm.energy <> bits b.Psl.Admm.energy then
+    Some (Printf.sprintf "energy %h vs %h" a.Psl.Admm.energy b.Psl.Admm.energy)
+  else if List.length ra <> List.length rb then
+    Some (Printf.sprintf "dual rows %d vs %d" (List.length ra - 2) (List.length rb - 2))
+  else List.find_map row_difference (List.combine ra rb)
+
+let check_admm_reference ctx =
+  match Lazy.force ctx.problem with
+  | None -> Skip
+  | Some p -> (
+    let reduced = (Preprocess.run p).Preprocess.problem in
+    let mismatch squared =
+      let model = Cmd.build_model ~squared reduced in
+      let label = if squared then "squared" else "linear" in
+      let cold = Psl.Admm.solve model in
+      match outcome_difference cold (reference_admm model) with
+      | Some msg -> Some (Printf.sprintf "%s, cold: %s" label msg)
+      | None ->
+        let warm = cold.Psl.Admm.state in
+        Option.map
+          (Printf.sprintf "%s, warm: %s" label)
+          (outcome_difference (Psl.Admm.solve ~warm model) (reference_admm ~warm model))
+    in
+    match List.find_map mismatch [ false; true ] with None -> Pass | Some msg -> Fail msg)
+
 (* --- registry ----------------------------------------------------------- *)
 
 let all =
@@ -1054,6 +1288,13 @@ let all =
         "indexed Eq. 9 cover equals full configuration enumeration, all \
          semantics, core off and on";
       check = check_cover_reference;
+    };
+    {
+      name = "admm-reference";
+      doc =
+        "flat consensus ADMM is bit-identical to the per-factor reference on \
+         CMD models, linear and squared, cold and warm";
+      check = check_admm_reference;
     };
   ]
 

@@ -2,7 +2,7 @@
     appendix (and the engine's own contracts) pin down, as named checks over
     fuzz cases.
 
-    The twelve families:
+    The thirteen families:
 
     - [eq4-eq9] — on full-tgd scenarios the Eq. 4 bitset fast path
       ({!Core.Full}) and the general Eq. 9 evaluator agree on every probed
@@ -52,7 +52,13 @@
       exactly the statistics of the configuration-enumeration fold
       ({!reference_stats_of_triggers}): covers, ordered error tuples and
       [produced], per candidate, under all three semantics, with [core]
-      off and on.
+      off and on;
+    - [admm-reference] — {!Psl.Admm.solve}'s flat consensus ADMM returns
+      exactly the outcome of the per-factor solver it replaced
+      ({!reference_admm}) on the case's preprocessed CMD model, linear and
+      squared, cold and warm-started from the cold run's final state:
+      iterations, convergence, and the IEEE bits of the solution, the
+      energy, the consensus vector and every dual row.
 
     Checks are deterministic functions of the case: auxiliary randomness
     (probed selections, flip sequences, permutations) is derived from the
@@ -78,7 +84,7 @@ type t = {
 }
 
 val all : t list
-(** The twelve families, in the order above. *)
+(** The thirteen families, in the order above. *)
 
 val names : string list
 
@@ -108,6 +114,18 @@ val stats_difference : Cover.tgd_stats -> Cover.tgd_stats -> string option
 (** [None] when the two statistics are equal field for field (covers,
     error tuples in order, produced, size, index, tgd); otherwise the
     first field that differs, with both values. *)
+
+val reference_admm :
+  ?options : Psl.Admm.options -> ?warm : Psl.Admm.state -> Psl.Hlmrf.t -> Psl.Admm.outcome
+(** The reference for {!Psl.Admm.solve}: the same consensus ADMM over a list
+    of per-factor records, each with its own local copy and dual, with
+    every floating-point operation in the same order. For checking only. *)
+
+val outcome_difference : Psl.Admm.outcome -> Psl.Admm.outcome -> string option
+(** [None] when the two outcomes are bitwise equal — iterations,
+    convergence, and the [Int64.bits_of_float] of the energy, the solution,
+    the consensus vector and every dual row; otherwise the first field that
+    differs, with both values. *)
 
 val faults : (string * t) list
 (** Deliberately broken oracle variants, keyed by fault name, for exercising

@@ -7,7 +7,18 @@
     touches; local copies are updated by a closed-form proximal step, the
     consensus variables by averaging and clipping to [0,1], and scaled duals
     by the consensus gap. Convergence follows Boyd's combined
-    absolute/relative criterion on the primal and dual residuals. *)
+    absolute/relative criterion on the primal and dual residuals.
+
+    {b Layout and cost.} A solve first lays the retained factors out flat,
+    CSR-style: per factor its offset, prox kind, weight, constant and
+    [‖a‖²]; per local copy (one per factor and variable it touches) the
+    variable index, the coefficient, the local value [x] and the scaled
+    dual [y], each an unboxed [float array] or [int array] indexed by copy.
+    An iteration is a few plain loops over the copies and the variables:
+    O(copies + variables) time and no allocation. Every floating-point sum
+    runs in factor order, then copy order — the order of the per-factor
+    solver this layout replaced, whose outcomes it reproduces bit for bit
+    (fuzz family [admm-reference]). *)
 
 type options = {
   rho : float;  (** ADMM step size; default 1.0 *)
@@ -46,10 +57,11 @@ type factor_view = {
 (** The shape of one retained factor, as the solver will build it. *)
 
 val factor_views : Hlmrf.t -> factor_view list
-(** The retained factors of a model, in solver order — the order and filter
-    {!solve} uses internally, and the row order of {!state.duals}. This is
-    what {!Grounding.delta} matches on; keeping it here means the retention
-    filter cannot drift from the solver's. *)
+(** The retained factors of a model, in solver order, read off the same
+    flat layout {!solve} builds — so the filter, the order and the row
+    order of {!state.duals} are one. This is what {!Grounding.delta}
+    matches on; keeping it here means the retention filter cannot drift
+    from the solver's. *)
 
 val solve : ?options : options -> ?warm : state -> Hlmrf.t -> outcome
 (** Minimises the HL-MRF energy over the box subject to its hard

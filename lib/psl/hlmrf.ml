@@ -23,23 +23,31 @@ let create ~num_vars =
 
 let num_vars t = t.num_vars
 
-let check_expr t expr =
+let check_expr ~fn t expr =
   List.iter
-    (fun i ->
+    (fun (i, c) ->
       if i < 0 || i >= t.num_vars then
-        invalid_arg (Printf.sprintf "Hlmrf: variable index %d out of range" i))
-    (Linexpr.vars expr)
+        invalid_arg (Printf.sprintf "Hlmrf: variable index %d out of range" i);
+      if not (Float.is_finite c) then
+        invalid_arg (Printf.sprintf "Hlmrf.%s: non-finite coefficient %h" fn c))
+    expr.Linexpr.coeffs;
+  if not (Float.is_finite expr.Linexpr.constant) then
+    invalid_arg (Printf.sprintf "Hlmrf.%s: non-finite constant %h" fn expr.Linexpr.constant)
 
 let add_potential t p =
+  let weight, expr =
+    match p with Hinge { weight; expr; _ } | Linear { weight; expr } -> (weight, expr)
+  in
+  if not (Float.is_finite weight) then
+    invalid_arg (Printf.sprintf "Hlmrf.add_potential: non-finite weight %h" weight);
   (match p with
-  | Hinge { weight; expr; _ } ->
-    if weight < 0. then invalid_arg "Hlmrf.add_potential: negative hinge weight";
-    check_expr t expr
-  | Linear { expr; _ } -> check_expr t expr);
+  | Hinge _ when weight < 0. -> invalid_arg "Hlmrf.add_potential: negative hinge weight"
+  | Hinge _ | Linear _ -> ());
+  check_expr ~fn:"add_potential" t expr;
   t.potentials <- p :: t.potentials
 
 let add_constraint t c =
-  (match c with Leq e | Eq e -> check_expr t e);
+  (match c with Leq e | Eq e -> check_expr ~fn:"add_constraint" t e);
   t.constraints <- c :: t.constraints
 
 let potentials t = List.rev t.potentials

@@ -27,9 +27,13 @@ val create : num_vars : int -> t
 val num_vars : t -> int
 
 val add_potential : t -> potential -> unit
-(** Raises [Invalid_argument] on a negative hinge weight. *)
+(** Raises [Invalid_argument] on a negative hinge weight, on a NaN or
+    infinite weight, coefficient or constant, and on a variable index
+    outside the model. *)
 
 val add_constraint : t -> constr -> unit
+(** Raises [Invalid_argument] on a NaN or infinite coefficient or constant,
+    and on a variable index outside the model. *)
 
 val potentials : t -> potential list
 (** In insertion order. *)

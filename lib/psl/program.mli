@@ -15,9 +15,9 @@
     v}
 
     Identifiers starting with an uppercase letter or underscore are rule
-    variables; everything else is a constant. A rule's weight is a number,
-    or [hard]; [squared] after the weight squares the hinge. Either side of
-    [->] may be empty. *)
+    variables; everything else is a constant. A rule's weight is a finite,
+    non-negative number or [hard]; [squared] after the weight squares the
+    hinge. Either side of [->] may be empty. *)
 
 type t = {
   predicates : Predicate.t list;

@@ -237,6 +237,179 @@ let test_experiments_cache_identity () =
     "cache was exercised" true
     ((Cache.stats cache).Cache.misses > 0)
 
+(* --- key derivation ------------------------------------------------------ *)
+
+(* Keys recorded before key rendering moved to buffer appends and a reused
+   digest buffer: disk tiers written earlier must stay valid, so the change
+   has to leave every key byte-identical. [odd] holds every encoding case:
+   spaces, commas, '%', control bytes, UTF-8, an empty constant, and null
+   labels that are zero, negative, [min_int] and [max_int]. *)
+let odd =
+  Relational.(
+    Instance.of_tuples
+      [
+        Tuple.make "R el"
+          [ Value.Const "a b"; Value.Null 12; Value.Const "%x,y"; Value.Null (-3) ];
+        Tuple.make "R el"
+          [ Value.Const ""; Value.Null 0; Value.Const "\xc3\xa9t\xc3\xa9"; Value.Null max_int ];
+        Tuple.make "S" [ Value.Const "plain_.~-09AZaz"; Value.Null min_int ];
+        Tuple.make "S" [ Value.Const "tab\tnew\nline"; Value.Null 7 ];
+      ])
+
+let single = Relational.(Instance.of_tuples [ Tuple.make "S" [ Value.Const "k" ] ])
+
+let test_key_pins () =
+  let check = Alcotest.(check string) in
+  let pair = Alcotest.(check (pair string string)) in
+  pair "example_keys odd/single"
+    ("5747b6e582193085b16aa5860fab30d6", "d55a3d616ad55b9f656c339df11425df")
+    (Cache.example_keys ~source:odd ~j:single);
+  pair "example_keys single/odd"
+    ("3494bf9a391e502dc19d3272c0647e4b", "c0b5a84352837d452c7861eb6180be57")
+    (Cache.example_keys ~source:single ~j:odd);
+  check "data_key odd/odd" "5ce912e1f5074a4bccdb5c158e60e12b"
+    (Cache.data_key ~source:odd ~j:odd);
+  check "source_key odd" "5747b6e582193085b16aa5860fab30d6"
+    (Cache.source_key ~source:odd);
+  check "source_key empty" "7191dbb36685b6178cfb149bcb833d01"
+    (Cache.source_key ~source:Relational.Instance.empty);
+  check "data_key empty" "1e25891fcb47f454aeb0ee951329553b"
+    (Cache.data_key ~source:Relational.Instance.empty
+       ~j:Relational.Instance.empty);
+  check "digest of a list" "3ad9ce84e78d70cfcd84d1a640603430"
+    (Cache.Key.digest [ "a"; ""; "b c"; String.make 123 'x' ]);
+  check "digest of no parts" "d41d8cd98f00b204e9800998ecf8427e"
+    (Cache.Key.digest []);
+  check "instance rendering"
+    "RR%20el Ca%20b N12 C%25x%2Cy N-3,RR%20el C N0 C%C3%A9t%C3%A9 \
+     N4611686018427387903,RS Ctab%09new%0Aline N7,RS Cplain_.~-09AZaz \
+     N-4611686018427387904"
+    (Cache.Key.instance odd);
+  List.iter2
+    (fun expected f ->
+      let buf = Buffer.create 8 in
+      Cache.Key.add_frac buf f;
+      check "frac" expected (Buffer.contents buf))
+    [ "-7/3"; "0/1"; "6/5" ]
+    Util.Frac.[ make (-7) 3; zero; make 12 10 ];
+  let s =
+    Ibench.Generator.generate
+      {
+        Ibench.Config.default with
+        Ibench.Config.seed = 3;
+        rows_per_relation = 128;
+        pi_corresp = 50;
+        pi_errors = 30;
+        pi_unexplained = 30;
+      }
+  in
+  pair "example_keys iBench rows 128 seed 3"
+    ("39d5b25f411794692481e3ba7b9cc98f", "8bf7062c6f91e0b9ac760cab43d93b54")
+    (Cache.example_keys ~source:s.Ibench.Scenario.instance_i
+       ~j:s.Ibench.Scenario.instance_j);
+  (* a coverage entry outside J and non-default weights: the digest's
+     general path, which [of_stats] problems can reach *)
+  let p0 =
+    Problem.make ~source:s.Ibench.Scenario.instance_i
+      ~j:s.Ibench.Scenario.instance_j s.Ibench.Scenario.candidates
+  in
+  let t c = Relational.Tuple.make "T" [ Relational.Value.Const c ] in
+  let covers =
+    Relational.Tuple.Map.(
+      empty |> add (t "a") (Util.Frac.make 1 2) |> add (t "zz") Util.Frac.one)
+  in
+  let stats =
+    {
+      p0.Problem.stats.(0) with
+      Cover.covers;
+      error_tuples = [ Relational.Tuple.make "E" [ Relational.Value.Null 5 ] ];
+    }
+  in
+  let p =
+    Problem.of_stats
+      ~weights:{ Problem.w_unexplained = 2; w_errors = 3; w_size = 5 }
+      ~j:(Relational.Instance.of_tuples [ t "a"; t "b" ])
+      [| stats |]
+  in
+  check "digest with a cover outside J" "1ac58cae7f5e4c60bdc21f66e5643182"
+    (Problem.digest p)
+
+(* The renderings against their definitions, spelled with [Printf] and
+   string concatenation, on arbitrary bytes and integers. *)
+let spec_enc s =
+  String.concat ""
+    (List.map
+       (fun c ->
+         match c with
+         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '~' | '-' ->
+           String.make 1 c
+         | _ -> Printf.sprintf "%%%02X" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let spec_value = function
+  | Relational.Value.Const s -> "C" ^ spec_enc s
+  | Relational.Value.Null n -> "N" ^ string_of_int n
+
+let spec_tuple (t : Relational.Tuple.t) =
+  String.concat " "
+    (("R" ^ spec_enc t.Relational.Tuple.rel)
+    :: List.map spec_value (Array.to_list t.Relational.Tuple.values))
+
+let spec_digest parts =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map (fun p -> Printf.sprintf "%d:%s" (String.length p) p) parts)))
+
+let qcheck_key_spec =
+  let open QCheck2 in
+  let int_gen =
+    Gen.oneof [ Gen.int; Gen.small_signed_int; Gen.oneofl [ 0; min_int; max_int ] ]
+  in
+  let value_gen =
+    Gen.oneof
+      [
+        Gen.map (fun s -> Relational.Value.Const s) Gen.(string_size (0 -- 6));
+        Gen.map (fun n -> Relational.Value.Null n) int_gen;
+      ]
+  in
+  let tuple_gen =
+    Gen.map2 Relational.Tuple.make
+      Gen.(string_size (0 -- 4))
+      Gen.(list_size (0 -- 4) value_gen)
+  in
+  let gen = Gen.(pair (list_size (0 -- 6) tuple_gen) (pair int_gen int_gen)) in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:500 ~name:"renderings and digests match their definitions"
+       gen (fun (tuples, (a, b)) ->
+         let rendered = List.map Cache.Key.tuple tuples in
+         let inst = Relational.Instance.of_tuples tuples in
+         let nested = ref "" in
+         let outer =
+           Cache.Key.digest_with (fun p ->
+               List.iter
+                 (fun t ->
+                   Cache.Key.add_part p (fun buf ->
+                       (* a digest taken while another is under way *)
+                       nested := Cache.Key.digest rendered;
+                       Cache.Key.add_tuple buf t))
+                 tuples)
+         in
+         let frac_num = if b = 0 then a else b in
+         List.for_all2 (fun t r -> r = spec_tuple t) tuples rendered
+         && outer = spec_digest (List.map spec_tuple tuples)
+         && (tuples = [] || !nested = spec_digest rendered)
+         && Cache.Key.digest rendered = spec_digest rendered
+         && Cache.Key.instance inst
+            = String.concat ","
+                (List.map spec_tuple (Relational.Instance.tuples inst))
+         &&
+         let f = Util.Frac.make frac_num 1 in
+         let buf = Buffer.create 8 in
+         Cache.Key.add_frac buf f;
+         Buffer.contents buf
+         = Printf.sprintf "%d/%d" (Util.Frac.num f) (Util.Frac.den f)))
+
 let () =
   Alcotest.run "cache"
     [
@@ -259,6 +432,12 @@ let () =
             test_cached_selection_is_a_copy;
           Alcotest.test_case "Experiments.Common honours the shared cache"
             `Quick test_experiments_cache_identity;
+        ] );
+      ( "keys",
+        [
+          Alcotest.test_case "keys byte-identical to recorded values" `Quick
+            test_key_pins;
+          qcheck_key_spec;
         ] );
       ( "disk",
         [

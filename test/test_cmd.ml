@@ -128,6 +128,69 @@ let test_delta_neighbour () =
     (List.length (Psl.Admm.factor_views mq))
     (Array.length t.Psl.Admm.duals)
 
+(* --- bitwise ADMM pins ---------------------------------------------------- *)
+
+(* Outcomes of [Psl.Admm.solve] on two CMD models, recorded before the
+   solver's inner loop was rebuilt on a flat factor layout: iterations,
+   convergence and a digest of the IEEE bits of the solution, the energy,
+   the consensus vector and every dual row. The rebuild must leave them
+   bit-identical, cold and warm-started from each run's own final state. *)
+let outcome_pin (o : Psl.Admm.outcome) =
+  let b = Buffer.create 4096 in
+  let add x = Buffer.add_string b (Printf.sprintf "%Lx," (Int64.bits_of_float x)) in
+  let add_row a =
+    Array.iter add a;
+    Buffer.add_char b ';'
+  in
+  add_row o.Psl.Admm.solution;
+  add o.Psl.Admm.energy;
+  add_row o.Psl.Admm.state.Psl.Admm.consensus;
+  Array.iter add_row o.Psl.Admm.state.Psl.Admm.duals;
+  Printf.sprintf "iterations %d converged %b digest %s" o.Psl.Admm.iterations
+    o.Psl.Admm.converged
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let ibench_rows_128 () =
+  let s =
+    Ibench.Generator.generate
+      {
+        Ibench.Config.default with
+        Ibench.Config.seed = 3;
+        rows_per_relation = 128;
+        pi_corresp = 50;
+        pi_errors = 30;
+        pi_unexplained = 30;
+      }
+  in
+  Problem.make ~source:s.Ibench.Scenario.instance_i ~j:s.Ibench.Scenario.instance_j
+    s.Ibench.Scenario.candidates
+
+let admm_pin_tests =
+  let pin name problem ~squared ~cold ~warm =
+    Alcotest.test_case name `Quick (fun () ->
+        let model =
+          Cmd.build_model ~squared (Preprocess.run (problem ())).Preprocess.problem
+        in
+        let c = Psl.Admm.solve model in
+        Alcotest.(check string) "cold" cold (outcome_pin c);
+        let w = Psl.Admm.solve ~warm:c.Psl.Admm.state model in
+        Alcotest.(check string) "warm" warm (outcome_pin w))
+  in
+  [
+    pin "E1 linear" appendix_problem ~squared:false
+      ~cold:"iterations 9 converged true digest 2cc370e5ff97fc73ec1db636ae0f978f"
+      ~warm:"iterations 1 converged true digest c72061ccaffb8da42da4f60df1f4cf52";
+    pin "E1 squared" appendix_problem ~squared:true
+      ~cold:"iterations 71 converged true digest 064bd2ec8eae3cc0a4038cdb6a90a47b"
+      ~warm:"iterations 1 converged true digest 36f6e5d806fd1beeb91b3ac6fa26868d";
+    pin "iBench rows 128 linear" ibench_rows_128 ~squared:false
+      ~cold:"iterations 110 converged true digest 1a87d1f7b4969c9f972c1a82f661f11c"
+      ~warm:"iterations 1 converged true digest 881a1afa0e835fe72a2ee2306ae8d6f1";
+    pin "iBench rows 128 squared" ibench_rows_128 ~squared:true
+      ~cold:"iterations 708 converged true digest 8f1eb16d43a6e8a9ca1062c7138d672a"
+      ~warm:"iterations 1 converged true digest 4ab4a75be214ab8837bd460ddef09d4a";
+  ]
+
 (* --- portfolio ----------------------------------------------------------- *)
 
 let roster_names = [ "cmd"; "exact"; "greedy"; "local"; "anneal" ]
@@ -301,6 +364,7 @@ let () =
             Alcotest.test_case "delta transports across a dropped candidate"
               `Quick test_delta_neighbour;
           ] );
+      ("admm-pins", admm_pin_tests);
       ( "portfolio",
         portfolio_tests
         @ [

@@ -499,6 +499,202 @@ let admm_options_tests =
         Alcotest.(check bool) "same solution" true (a.Admm.solution = b.Admm.solution));
   ]
 
+(* --- non-finite inputs ------------------------------------------------------ *)
+
+(* NaN or infinite weights, coefficients and constants are rejected where a
+   model is built: before, a NaN hinge weight ran ADMM for all 10,000
+   iterations and returned a NaN solution, and an infinite weight
+   "converged" after one iteration with a NaN energy. *)
+let non_finite_tests =
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  let expr c b = { Linexpr.coeffs = [ (0, c) ]; constant = b } in
+  [
+    Alcotest.test_case "Hlmrf.add_potential rejects non-finite inputs" `Quick (fun () ->
+        let m = Hlmrf.create ~num_vars:1 in
+        List.iter
+          (fun (name, p) -> raises name (fun () -> Hlmrf.add_potential m p))
+          [
+            ("nan hinge weight", Hlmrf.Hinge { weight = Float.nan; expr = expr 1. 0.; squared = false });
+            ("infinite squared hinge weight", Hlmrf.Hinge { weight = Float.infinity; expr = expr 1. 0.; squared = true });
+            ("nan linear weight", Hlmrf.Linear { weight = Float.nan; expr = expr 1. 0. });
+            ("-infinite linear weight", Hlmrf.Linear { weight = Float.neg_infinity; expr = expr 1. 0. });
+            ("nan coefficient", Hlmrf.Hinge { weight = 1.; expr = expr Float.nan 0.; squared = false });
+            ("infinite coefficient", Hlmrf.Linear { weight = 1.; expr = expr Float.infinity 0. });
+            ("nan constant", Hlmrf.Linear { weight = 1.; expr = expr 1. Float.nan });
+          ];
+        Alcotest.(check int) "nothing was added" 0 (Hlmrf.num_potentials m));
+    Alcotest.test_case "Hlmrf.add_constraint rejects non-finite inputs" `Quick (fun () ->
+        let m = Hlmrf.create ~num_vars:1 in
+        List.iter
+          (fun (name, c) -> raises name (fun () -> Hlmrf.add_constraint m c))
+          [
+            ("nan coefficient", Hlmrf.Leq (expr Float.nan 0.));
+            ("infinite coefficient", Hlmrf.Eq (expr Float.neg_infinity 0.));
+            ("infinite constant", Hlmrf.Leq (expr 1. Float.infinity));
+          ];
+        Alcotest.(check int) "nothing was added" 0 (Hlmrf.num_constraints m));
+    Alcotest.test_case "Rule.make rejects non-finite weights" `Quick (fun () ->
+        List.iter
+          (fun w ->
+            raises (Printf.sprintf "weight %h" w) (fun () ->
+                ignore
+                  (Rule.make ~weight:(Some w) ~body:[ Rule.pos "p" [ Rule.V "X" ] ]
+                     ~head:[ Rule.pos "q" [ Rule.V "X" ] ] ())))
+          [ Float.nan; Float.infinity; Float.neg_infinity ]);
+    Alcotest.test_case "the .psl parser rejects non-finite weights" `Quick (fun () ->
+        List.iter
+          (fun w ->
+            match Program.parse (Printf.sprintf "predicate p/1\nrule r %s: p(X) -> p(X)\n" w) with
+            | Ok _ -> Alcotest.failf "weight %s accepted" w
+            | Error e -> Alcotest.(check int) (w ^ " reported on its line") 2 e.Program.line)
+          [ "nan"; "inf"; "infinity"; "-nan"; "nan squared" ]);
+    Alcotest.test_case "Database.observe rejects a NaN truth value" `Quick (fun () ->
+        raises "nan truth" (fun () ->
+            ignore
+              (Database.observe (Gatom.make "friend" [ "a"; "b" ]) Float.nan
+                 (smokers_db []))));
+  ]
+
+(* --- flat ADMM vs the per-factor reference -------------------------------- *)
+
+(* Random HL-MRFs over all five prox kinds, with empty and zero-weight
+   factors (both filtered out), hand-built expressions whose coefficients
+   are all zero (the [norm2 = 0] projection), random solver options, and
+   warm states that fit the model or miss it in the consensus length, the
+   dual count or single dual rows. *)
+let differential_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 1 5 in
+  let expr_gen =
+    let* k = int_range 0 3 in
+    let* idx = list_size (return k) (int_range 0 (n - 1)) in
+    let idx = List.sort_uniq Int.compare idx in
+    let* cs = list_size (return (List.length idx)) (oneofl [ -2.; -1.; -0.5; 0.5; 1.; 1.5 ]) in
+    let* b = oneof [ return 0.; float_range (-1.5) 1.5 ] in
+    let* zeros = frequency [ (4, return false); (1, return true) ] in
+    return
+      (if zeros then { Linexpr.coeffs = List.map (fun i -> (i, 0.)) idx; constant = b }
+       else Linexpr.make (List.combine idx cs) b)
+  in
+  let weight_gen = frequency [ (1, return 0.); (6, float_range 0.05 3.) ] in
+  let potential_gen =
+    let* expr = expr_gen and* weight = weight_gen and* kind = int_range 0 3 in
+    return
+      (match kind with
+      | 0 -> Hlmrf.Hinge { weight; expr; squared = false }
+      | 1 -> Hlmrf.Hinge { weight; expr; squared = true }
+      | 2 -> Hlmrf.Linear { weight; expr }
+      | _ -> Hlmrf.Linear { weight = -.weight; expr })
+  in
+  let constraint_gen =
+    let* expr = expr_gen and* leq = bool in
+    return (if leq then Hlmrf.Leq expr else Hlmrf.Eq expr)
+  in
+  let* pots = list_size (int_range 0 8) potential_gen in
+  let* cons = list_size (int_range 0 4) constraint_gen in
+  let m = Hlmrf.create ~num_vars:n in
+  List.iter (Hlmrf.add_potential m) pots;
+  List.iter (Hlmrf.add_constraint m) cons;
+  let* rho = oneofl [ 0.5; 1.; 2. ]
+  and* max_iter = oneofl [ 1; 7; 60; 10_000 ]
+  and* eps_abs = oneofl [ 1e-5; 1e-3 ]
+  and* eps_rel = oneofl [ 1e-4; 1e-2; 0.3 ] in
+  let options = { Admm.rho; max_iter; eps_abs; eps_rel } in
+  let dims = List.map (fun f -> Array.length f.Admm.f_vars) (Admm.factor_views m) in
+  let row d = array_size (return d) (float_range (-2.) 2.) in
+  let off_by_one d = d + if d mod 2 = 0 then 1 else -1 in
+  let* warm =
+    frequency
+      [
+        (2, return None);
+        ( 5,
+          let* consensus_len = frequency [ (4, return n); (1, return (n + 1)) ] in
+          let* consensus = row consensus_len in
+          let* dual_count =
+            frequency
+              [ (4, return (List.length dims)); (1, return (List.length dims + 1)) ]
+          in
+          let dims =
+            if dual_count = List.length dims then dims else dims @ [ 1 ]
+          in
+          let* duals =
+            flatten_l
+              (List.map
+                 (fun d ->
+                   let* ok = frequency [ (5, return true); (1, return false) ] in
+                   row (if ok then d else off_by_one d))
+                 dims)
+          in
+          return (Some { Admm.consensus; duals = Array.of_list duals }) );
+      ]
+  in
+  return (m, options, warm)
+
+let differential_tests =
+  let open QCheck2 in
+  [
+    Test.make ~name:"flat ADMM is bit-identical to the per-factor reference"
+      ~count:500 differential_gen (fun (m, options, warm) ->
+        let got = Admm.solve ~options ?warm m in
+        let want = Fuzz.Oracle.reference_admm ~options ?warm m in
+        match Fuzz.Oracle.outcome_difference got want with
+        | None -> true
+        | Some msg -> Test.fail_report msg);
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
+(* A fixed HL-MRF with every prox kind that ADMM does not solve within 200
+   iterations at the default tolerances. *)
+let slow_model () =
+  let rs = Random.State.make [| 42 |] in
+  let n = 40 in
+  let m = Hlmrf.create ~num_vars:n in
+  let expr () =
+    let k = 1 + Random.State.int rs 3 in
+    Linexpr.make
+      (List.init k (fun _ -> (Random.State.int rs n, Random.State.float rs 2. -. 1.)))
+      (Random.State.float rs 1. -. 0.5)
+  in
+  for _ = 1 to 120 do
+    let weight = 0.5 +. Random.State.float rs 2. in
+    Hlmrf.add_potential m
+      (match Random.State.int rs 3 with
+      | 0 -> Hlmrf.Hinge { weight; expr = expr (); squared = false }
+      | 1 -> Hlmrf.Hinge { weight; expr = expr (); squared = true }
+      | _ -> Hlmrf.Linear { weight = weight -. 1.5; expr = expr () })
+  done;
+  for _ = 1 to 20 do
+    Hlmrf.add_constraint m
+      (if Random.State.bool rs then Hlmrf.Leq (expr ()) else Hlmrf.Eq (expr ()))
+  done;
+  m
+
+(* An ADMM iteration allocates nothing: the bytes a solve allocates, on the
+   minor heap or directly on the major one, do not grow with the iterations
+   it runs, so a per-iteration allocation reintroduced into the loop fails
+   here. *)
+let allocation_tests =
+  [
+    Alcotest.test_case "an iteration allocates nothing" `Quick (fun () ->
+        let m = slow_model () in
+        let bytes max_iter =
+          let before = Gc.allocated_bytes () in
+          let r = Admm.solve ~options:{ Admm.default_options with Admm.max_iter } m in
+          let after = Gc.allocated_bytes () in
+          Alcotest.(check int) "ran the whole window" max_iter r.Admm.iterations;
+          after -. before
+        in
+        let b20 = bytes 20 in
+        let b200 = bytes 200 in
+        Printf.printf "allocated bytes: %.0f at 20 iterations, %.0f at 200\n" b20 b200;
+        Alcotest.(check bool) "at most 128 more bytes over 180 more iterations" true
+          (b200 -. b20 <= 128.));
+  ]
+
 let () =
   Alcotest.run "psl"
     [
@@ -510,4 +706,7 @@ let () =
       ("learning", learning_tests);
       ("program", program_tests);
       ("admm-options", admm_options_tests);
+      ("admm-allocation", allocation_tests);
+      ("admm-reference", differential_tests);
+      ("non-finite", non_finite_tests);
     ]
